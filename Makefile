@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: build test race vet lint lint-perf fix fuzz bench bench-tokens bench-scaling bench-serve bench-serve-scaling
+.PHONY: build test race vet lint lint-perf fix fuzz bench bench-scaling
 
 build:
 	$(GO) build ./...
@@ -47,43 +47,21 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzReadCSV -fuzztime=$(FUZZTIME) ./internal/table
 
 # Regenerates BENCH_parallel.json: the workers x n scaling sweep over the
-# similarity join and forest training. Warns (cores_ok=false) on a 1-core
-# box; add -requirecores to refuse instead.
+# similarity join, forest training and MatchOne through the serve Pool.
+# Warns (cores_ok=false) on a 1-core box; add -requirecores to refuse
+# instead.
 bench:
 	$(GO) run ./cmd/benchem -exp parallel
 
 # Smoke-size scaling sweep: same workloads and gates as `bench`, sized for
 # CI. Fails on any output divergence from Workers=1, and on a runner with
-# >= 4 cores also fails when workers=4 speedup drops below MINSPEEDUP
-# (slightly under the 1.5x bar of the full bench to absorb shared-vCPU
-# noise).
+# >= 4 cores also fails when the workers=4 speedup of simjoin_jaccard or
+# forest_fit_32trees drops below MINSPEEDUP, or that of serve_match below
+# SERVEMINSPEEDUP (both slightly under the full bench's 1.5x bar to absorb
+# shared-vCPU noise).
 MINSPEEDUP ?= 1.3
+SERVEMINSPEEDUP ?= 1.3
 bench-scaling:
 	$(GO) run ./cmd/benchem -exp parallel -scalen 2000,20000 -scaleworkers 1,2,4 \
-		-minspeedup $(MINSPEEDUP) -benchout /tmp/BENCH_parallel_smoke.json
-
-# Regenerates BENCH_tokens.json (string kernels vs interned integer
-# kernels). Exits non-zero if the two paths ever disagree bit-for-bit.
-bench-tokens:
-	$(GO) run ./cmd/benchem -exp tokens
-
-# Regenerates BENCH_serve.json: sustained QPS and tail latency of the
-# incremental serving core across the ingest-interference sweep, the
-# match-workers x ingest reader-scaling cells, plus the overload burst.
-# Exits non-zero when the incrementally-maintained corpus diverges from a
-# from-scratch rebuild, the flat forest diverges from the pointer
-# classifier, backpressure never engages, or (on a >= 4-core box) the
-# workers=4 query-only QPS scaling falls below 1.5x.
-bench-serve:
-	$(GO) run ./cmd/benchem -exp serve
-
-# Smoke-size reader-scaling sweep: same gates as `bench-serve`, sized for
-# CI. The QPS gate arms only when the runner has >= 4 cores (cores_ok);
-# SERVEMINSPEEDUP sits slightly under the full bench's 1.5x bar to absorb
-# shared-vCPU noise. The two identity gates (rebuild, flat-vs-pointer)
-# hold at any core count.
-SERVEMINSPEEDUP ?= 1.3
-bench-serve-scaling:
-	$(GO) run ./cmd/benchem -exp serve -serven 1500 -servequeries 600 \
-		-serveworkers 1,2,4 -serveminspeedup $(SERVEMINSPEEDUP) \
-		-serveout /tmp/BENCH_serve_smoke.json
+		-minspeedup $(MINSPEEDUP) -serveminspeedup $(SERVEMINSPEEDUP) \
+		-benchout /tmp/BENCH_parallel_smoke.json

@@ -10,10 +10,7 @@
 //	benchem -exp smurf         Falcon vs Smurf labeling effort (§5.3)
 //	benchem -exp mlrules       ML/rules/ML+rules ablation (§6)
 //	benchem -exp blockers      blocker recall/reduction ablation
-//	benchem -exp parallel      Workers=1 vs multicore regression bench (BENCH_parallel.json)
-//	benchem -exp obsbench      no-op vs live metrics overhead bench (BENCH_obs.json)
-//	benchem -exp tokens        string vs interned similarity kernels (BENCH_tokens.json)
-//	benchem -exp serve         incremental serving core QPS/latency bench (BENCH_serve.json)
+//	benchem -exp parallel      workers x n scaling sweep: simjoin, forest fit, serve Pool (BENCH_parallel.json)
 //	benchem -exp all           everything above
 //
 // With -metrics PATH the guide experiment records per-stage timings into a
@@ -73,22 +70,15 @@ func writeMetricsSnapshot(reg *obs.Registry, path string) error {
 }
 
 func main() {
-	exp := flag.String("exp", "all", "experiment to run (table1|table2|table3|table4|guide|concurrency|smurf|mlrules|blockers|parallel|obsbench|tokens|serve|all)")
+	exp := flag.String("exp", "all", "experiment to run (table1|table2|table3|table4|guide|concurrency|smurf|mlrules|blockers|parallel|all)")
 	seed := flag.Int64("seed", 1, "random seed")
 	workers := flag.Int("workers", 0, "worker goroutines for parallelized stages; 0 means GOMAXPROCS")
 	benchout := flag.String("benchout", "BENCH_parallel.json", "output path for the parallel bench JSON")
 	scaleWorkers := flag.String("scaleworkers", "1,2,4,8", "comma-separated worker counts for the parallel scaling sweep")
 	scaleN := flag.String("scalen", "1000,10000,100000", "comma-separated input sizes for the parallel scaling sweep")
 	requireCores := flag.Bool("requirecores", false, "fail the parallel experiment when GOMAXPROCS < 2 instead of just warning")
-	minSpeedup := flag.Float64("minspeedup", 1.5, "fail the parallel experiment when speedup at workers=4 on the largest n falls below this (enforced only when GOMAXPROCS >= 4; 0 disables)")
-	obsout := flag.String("obsout", "BENCH_obs.json", "output path for the metrics-overhead bench JSON")
-	tokensout := flag.String("tokensout", "BENCH_tokens.json", "output path for the token-interning bench JSON")
-	tokensn := flag.Int("tokensn", 1000, "records per side (and candidate pairs) for the tokens bench workloads")
-	serveout := flag.String("serveout", "BENCH_serve.json", "output path for the serving-core bench JSON")
-	serven := flag.Int("serven", 5000, "corpus size for the serve bench")
-	servequeries := flag.Int("servequeries", 2000, "query count per phase for the serve bench")
-	serveWorkers := flag.String("serveworkers", "1,2,4,8", "comma-separated match-worker counts for the serve reader-scaling sweep")
-	serveMinSpeedup := flag.Float64("serveminspeedup", 1.5, "fail the serve experiment when query-only QPS scaling at workers=4 falls below this (enforced only when GOMAXPROCS >= 4; 0 disables)")
+	minSpeedup := flag.Float64("minspeedup", 1.5, "fail the parallel experiment when simjoin_jaccard or forest_fit_32trees speedup at workers=4 on the largest n falls below this (enforced only when GOMAXPROCS >= 4; 0 disables)")
+	serveMinSpeedup := flag.Float64("serveminspeedup", 1.5, "fail the parallel experiment when serve_match speedup at workers=4 on the largest n falls below this (enforced only when GOMAXPROCS >= 4; 0 disables)")
 	metricsPath := flag.String("metrics", "", "write the guide run's per-stage metrics snapshot as JSON to this path (\"-\" for stdout)")
 	flag.Parse()
 
@@ -209,90 +199,18 @@ func main() {
 			// The scaling gate only means something with real cores behind
 			// the workers; with fewer the sweep still pins determinism and
 			// allocs, but speedup is physically capped at ~1.0.
-			if *minSpeedup > 0 && runtime.GOMAXPROCS(0) >= 4 {
-				for _, name := range []string{"simjoin_jaccard", "forest_fit_32trees"} {
-					if s := res.SpeedupAt(name, 4); s > 0 && s < *minSpeedup {
-						return fmt.Errorf("%s speedup at workers=4 is %.2fx, below the %.2fx regression floor", name, s, *minSpeedup)
+			if runtime.GOMAXPROCS(0) >= 4 {
+				for _, g := range []struct {
+					name  string
+					floor float64
+				}{
+					{"simjoin_jaccard", *minSpeedup},
+					{"forest_fit_32trees", *minSpeedup},
+					{"serve_match", *serveMinSpeedup},
+				} {
+					if s := res.SpeedupAt(g.name, 4); g.floor > 0 && s > 0 && s < g.floor {
+						return fmt.Errorf("%s speedup at workers=4 is %.2fx, below the %.2fx regression floor", g.name, s, g.floor)
 					}
-				}
-			}
-		case "obsbench":
-			fmt.Println("== observability layer: no-op vs live recorder overhead ==")
-			res, err := experiments.RunObsBench(*seed, *workers, *benchout)
-			if err != nil {
-				return err
-			}
-			fmt.Print(experiments.FormatObsBench(res))
-			data, err := res.MarshalBenchJSON()
-			if err != nil {
-				return err
-			}
-			if err := os.WriteFile(*obsout, data, 0o644); err != nil {
-				return err
-			}
-			fmt.Printf("wrote %s\n", *obsout)
-		case "tokens":
-			fmt.Println("== token interning: string kernels vs integer kernels ==")
-			res, err := experiments.RunTokensBench(*seed, *workers, *tokensn, *benchout)
-			if err != nil {
-				return err
-			}
-			fmt.Print(experiments.FormatTokensBench(res))
-			data, err := res.MarshalBenchJSON()
-			if err != nil {
-				return err
-			}
-			if err := os.WriteFile(*tokensout, data, 0o644); err != nil {
-				return err
-			}
-			fmt.Printf("wrote %s\n", *tokensout)
-			// A divergence means the interned kernels broke bit-identity
-			// with the string path: fail the run so CI catches it.
-			if div := res.Diverged(); len(div) > 0 {
-				return fmt.Errorf("interned kernels diverged from string path on: %v", div)
-			}
-		case "serve":
-			fmt.Println("== serving core: sustained QPS, tail latency, and backpressure ==")
-			if runtime.GOMAXPROCS(0) < 2 {
-				fmt.Fprintf(os.Stderr, "benchem: warning: GOMAXPROCS=%d < 2 — the reader-scaling cells cannot show scaling on this box (cores_ok=false in %s)\n",
-					runtime.GOMAXPROCS(0), *serveout)
-			}
-			sws, err := parseIntList(*serveWorkers)
-			if err != nil {
-				return fmt.Errorf("-serveworkers: %w", err)
-			}
-			res, err := experiments.RunServeBench(*seed, *workers, *serven, *servequeries, sws)
-			if err != nil {
-				return err
-			}
-			fmt.Print(experiments.FormatServeBench(res))
-			data, err := res.MarshalBenchJSON()
-			if err != nil {
-				return err
-			}
-			if err := os.WriteFile(*serveout, data, 0o644); err != nil {
-				return err
-			}
-			fmt.Printf("wrote %s\n", *serveout)
-			// Divergence between the incrementally-maintained corpus and a
-			// from-scratch rebuild is a correctness bug: fail the run.
-			if !res.Identical {
-				return fmt.Errorf("incremental corpus diverged from from-scratch rebuild after the ingest phases")
-			}
-			// So is divergence between the flat batch kernel and the
-			// pointer-walking classifier: bit-identity is the contract that
-			// made the flattening a pure performance change.
-			if !res.FlatIdentical {
-				return fmt.Errorf("flat forest scores diverged from the pointer classifier path")
-			}
-			if res.Overload.Rejected == 0 {
-				return fmt.Errorf("overload burst of %d was fully absorbed — backpressure never engaged", res.Overload.Submitted)
-			}
-			// The reader-scaling gate only means something with real cores
-			// behind the match workers; a 1-core box caps speedup at ~1.0.
-			if *serveMinSpeedup > 0 && runtime.GOMAXPROCS(0) >= 4 {
-				if s := res.ScalingAt(4); s > 0 && s < *serveMinSpeedup {
-					return fmt.Errorf("query-only QPS scaling at workers=4 is %.2fx, below the %.2fx regression floor", s, *serveMinSpeedup)
 				}
 			}
 		default:
@@ -304,7 +222,7 @@ func main() {
 
 	var names []string
 	if *exp == "all" {
-		names = []string{"table3", "table4", "guide", "table1", "smurf", "mlrules", "blockers", "parallel", "obsbench", "tokens", "serve", "concurrency", "table2"}
+		names = []string{"table3", "table4", "guide", "table1", "smurf", "mlrules", "blockers", "parallel", "concurrency", "table2"}
 	} else {
 		names = []string{*exp}
 	}

@@ -3,9 +3,9 @@
 // plus the project-invariant analyzers behind cmd/emlint. The analyzers
 // enforce the conventions DESIGN.md §5–§7 establish — fan-out only through
 // internal/parallel, no wall-clock or global randomness in result-producing
-// paths, canonical metric names, no deprecated API calls, context.Context
-// first, and no copying of lock-bearing types — so the conventions survive
-// codebase growth instead of living only in documentation.
+// paths, canonical metric names, and context.Context first — so the
+// conventions survive codebase growth instead of living only in
+// documentation. Copying lock-bearing types is left to go vet's copylocks.
 //
 // Every diagnostic can be suppressed at a sanctioned call site with a
 // directive comment on the flagged line, the line directly above it, or in
@@ -142,8 +142,6 @@ func All() []*Analyzer {
 		LockSafety,
 		MapOrder,
 		MetricNames,
-		MutexCopy,
-		NoDeprecated,
 		NoGoroutine,
 		NonDeterminism,
 		RLockWrite,

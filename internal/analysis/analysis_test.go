@@ -118,8 +118,8 @@ func TestAnalyzerTestFileOptOut(t *testing.T) {
 	if NoGoroutine.Tests {
 		t.Fatal("nogoroutine must skip test files (tests orchestrate goroutines legitimately)")
 	}
-	if !NoDeprecated.Tests || !CtxFirst.Tests || !MutexCopy.Tests {
-		t.Fatal("API-surface analyzers must cover test files")
+	if !CtxFirst.Tests {
+		t.Fatal("the API-surface analyzer ctxfirst must cover test files")
 	}
 	if NonDeterminism.Tests || MetricNames.Tests {
 		t.Fatal("clock/metric analyzers must skip test files")
@@ -147,7 +147,7 @@ func TestAnalyzerTestFileOptOut(t *testing.T) {
 
 // TestByName resolves subsets and rejects unknown checks.
 func TestByName(t *testing.T) {
-	got, err := ByName("nogoroutine, mutexcopy")
+	got, err := ByName("nogoroutine, ctxfirst")
 	if err != nil || len(got) != 2 {
 		t.Fatalf("ByName = %v, %v", got, err)
 	}

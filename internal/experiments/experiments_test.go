@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -102,6 +103,22 @@ func TestRunGuide(t *testing.T) {
 	}
 	if res.Precision < 0.8 {
 		t.Errorf("guide precision = %.3f", res.Precision)
+	}
+}
+
+// TestRunGuideWorkersIdentical pins RunGuideWorkers' contract that the
+// worker count never changes the guide's output.
+func TestRunGuideWorkersIdentical(t *testing.T) {
+	serial, err := RunGuideWorkers(400, 400, 250, 250, 7, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	par, err := RunGuideWorkers(400, 400, 250, 250, 7, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(serial, par) {
+		t.Fatalf("Workers=4 guide diverged from Workers=1:\n%+v\n%+v", par, serial)
 	}
 }
 

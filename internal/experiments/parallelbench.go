@@ -1,16 +1,22 @@
 package experiments
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"math/rand"
 	"reflect"
 	"runtime"
+	"strings"
 	"time"
 
+	"repro/internal/feature"
 	"repro/internal/ml"
 	"repro/internal/parallel"
+	"repro/internal/serve"
+	"repro/internal/sim"
 	"repro/internal/simjoin"
+	"repro/internal/tokenize"
 )
 
 // ParallelCell is one point of the workers x n scaling sweep: how fast one
@@ -184,10 +190,121 @@ func benchJoinRecords(n int, seed int64) []simjoin.IDRecord {
 	return out
 }
 
+// serveVocab and serveRandomRecord generate the serve_match corpus: token
+// overlap dense enough that queries surface real candidate sets.
+func serveVocab(n int) []string {
+	size := n / 4
+	if size < 200 {
+		size = 200
+	}
+	out := make([]string, size)
+	for i := range out {
+		out[i] = fmt.Sprintf("w%d", i)
+	}
+	return out
+}
+
+func serveRandomRecord(id string, vocab []string, rng *rand.Rand) serve.Record {
+	pick := func(k int) string {
+		toks := make([]string, k)
+		for i := range toks {
+			toks[i] = vocab[rng.Intn(len(vocab))]
+		}
+		return strings.Join(toks, " ")
+	}
+	return serve.Record{ID: id, Attrs: map[string]string{
+		"name": pick(2 + rng.Intn(3)),
+		"desc": pick(4 + rng.Intn(5)),
+	}}
+}
+
+// serveMatcher builds the resident feature battery and classifier the
+// serve_match corpus scores with: two token-set features riding the
+// interned fast path plus one pure string feature exercising the fallback.
+func serveMatcher(seed int64) (*feature.Set, ml.Classifier, error) {
+	ws := tokenize.Whitespace{ReturnSet: true}
+	jacc := func(l, r string) float64 {
+		return sim.Jaccard(ws.Tokenize(strings.ToLower(l)), ws.Tokenize(strings.ToLower(r)))
+	}
+	fs := &feature.Set{Features: []feature.Feature{
+		{Name: "jaccard_ws_name", LAttr: "name", RAttr: "name", Fn: jacc, Tok: ws, SetFn: sim.JaccardU32},
+		{Name: "jaccard_ws_desc", LAttr: "desc", RAttr: "desc", Fn: jacc, Tok: ws, SetFn: sim.JaccardU32},
+		{Name: "lev_name", LAttr: "name", RAttr: "name", Fn: sim.Levenshtein},
+	}}
+	ds, err := benchDataset(256, len(fs.Features), seed)
+	if err != nil {
+		return nil, nil, err
+	}
+	clf := &ml.RandomForest{NumTrees: 16, Seed: seed, Workers: 1}
+	if err := clf.Fit(ds); err != nil {
+		return nil, nil, err
+	}
+	return fs, clf, nil
+}
+
+// serveMatchQueries is the fixed query batch serve_match drives through
+// the pool at every corpus size.
+const serveMatchQueries = 512
+
+// buildServeMatch loads an n-record corpus with its resident matcher and
+// generates the query batch.
+func buildServeMatch(n int, seed int64) (*serve.Corpus, []serve.Record, error) {
+	vocab := serveVocab(n)
+	rng := rand.New(rand.NewSource(seed))
+	c := serve.NewCorpus(serve.WithMinOverlap(2), serve.WithLimit(10))
+	for i := 0; i < n; i++ {
+		if err := c.Add(serveRandomRecord(fmt.Sprintf("m%d", i), vocab, rng)); err != nil {
+			return nil, nil, err
+		}
+	}
+	fs, clf, err := serveMatcher(seed)
+	if err != nil {
+		return nil, nil, err
+	}
+	if err := c.SetMatcher(fs, clf); err != nil {
+		return nil, nil, err
+	}
+	qs := make([]serve.Record, serveMatchQueries)
+	for i := range qs {
+		qs[i] = serveRandomRecord(fmt.Sprintf("q%d", i), vocab, rng)
+	}
+	return c, qs, nil
+}
+
+// runServeMatch drives qs through a Pool of the given worker count and
+// returns the scored pairs in query order. The one submitter keeps at most
+// the queue's capacity (4x workers) in flight, so Submit never overloads,
+// and waits on tickets oldest first.
+func runServeMatch(c *serve.Corpus, qs []serve.Record, workers int) ([][]serve.ScoredPair, error) {
+	p := serve.NewPool(c, workers, 0)
+	defer p.Close()
+	window := 4 * parallel.Resolve(workers)
+	ctx := context.Background()
+	tickets := make([]*serve.Ticket, len(qs))
+	out := make([][]serve.ScoredPair, len(qs))
+	next := 0
+	for i := range qs {
+		for ; next < len(qs) && next < i+window; next++ {
+			tk, err := p.Submit(ctx, qs[next])
+			if err != nil {
+				return nil, err
+			}
+			tickets[next] = tk
+		}
+		pairs, err := tickets[i].Wait(ctx)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = pairs
+	}
+	return out, nil
+}
+
 // RunParallelBench sweeps the parallelized hot paths — the Jaccard
-// similarity join and random-forest training — over every (workers, n)
-// combination, recording ns/op, allocs/op, speedup against the Workers=1
-// run at the same n, and whether the output stayed bit-identical to it.
+// similarity join, random-forest training, and MatchOne through the serve
+// Pool — over every (workers, n) combination, recording ns/op, allocs/op,
+// speedup against the Workers=1 run at the same n, and whether the output
+// stayed bit-identical to it.
 func RunParallelBench(seed int64, workerSweep, nSweep []int) (*ParallelBench, error) {
 	if len(workerSweep) == 0 {
 		workerSweep = []int{1, 2, 4, 8}
@@ -206,6 +323,8 @@ func RunParallelBench(seed int64, workerSweep, nSweep []int) (*ParallelBench, er
 
 	var joinL, joinR []simjoin.IDRecord
 	var forestDS *ml.Dataset
+	var serveCorpus *serve.Corpus
+	var serveQs []serve.Record
 	workloads := []scalingWorkload{
 		{
 			name: "simjoin_jaccard",
@@ -238,6 +357,17 @@ func RunParallelBench(seed int64, workerSweep, nSweep []int) (*ParallelBench, er
 					votes = append(votes, f.VoteFraction(forestDS.X[i]))
 				}
 				return votes, nil
+			},
+		},
+		{
+			name: "serve_match",
+			build: func(n int, seed int64) error {
+				var err error
+				serveCorpus, serveQs, err = buildServeMatch(n, seed)
+				return err
+			},
+			run: func(workers int) (any, error) {
+				return runServeMatch(serveCorpus, serveQs, workers)
 			},
 		},
 	}

@@ -22,8 +22,7 @@ type ExtractOptions struct {
 	// NoTokenCache disables the per-row tokenization cache, forcing every
 	// feature through its string PairFunc as if no token-set fast path
 	// existed. The cached and uncached paths produce bit-identical
-	// vectors; the flag exists for the equivalence tests and as the
-	// string-path baseline of benchem -exp tokens.
+	// vectors; the flag exists for the equivalence tests.
 	NoTokenCache bool
 }
 

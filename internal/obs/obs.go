@@ -6,7 +6,7 @@
 // path never takes a lock, never allocates, and — via Timer/StartTimer —
 // never reads the clock, so instrumentation can live permanently inside
 // production code with zero measurable overhead when disabled
-// (cmd/benchem -exp obsbench is the regression check).
+// (the benchmarks in internal/obs/bench_test.go are the regression check).
 //
 // The live implementation is Registry: an in-memory store of counters,
 // gauges, and duration histograms that renders itself in Prometheus text

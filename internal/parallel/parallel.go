@@ -4,7 +4,7 @@
 // random-forest training, cross-validation folds, blocker probe loops,
 // feature extraction — goes through these helpers so the "Workers" knob
 // behaves identically everywhere (0 means GOMAXPROCS, matching
-// simjoin.Options and OverlapBlocker).
+// simjoin.WithWorkers and OverlapBlocker).
 //
 // The helpers guarantee that concurrency never changes observable output:
 // results land in caller-visible slots keyed by input index, so a pipeline

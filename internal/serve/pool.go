@@ -54,7 +54,7 @@ func (t *Ticket) Wait(ctx context.Context) ([]ScoredPair, error) {
 // the admission-control layer between the HTTP surface and the corpus.
 // Submit never blocks: a full queue returns ErrOverloaded immediately,
 // so overload surfaces as typed backpressure rather than unbounded
-// buffering (the acceptance bar the benchem serve overload run checks).
+// buffering (TestPoolOverload pins it).
 type Pool struct {
 	corpus  *Corpus
 	tasks   chan task

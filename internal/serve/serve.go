@@ -14,7 +14,7 @@
 // once enough tombstones accumulate. Rebuilt() is the equivalence oracle:
 // a from-scratch batch build of the live records, which must yield
 // bit-identical candidates for every query (pinned by the testing/quick
-// interleaving tests and the benchem serve experiment).
+// interleaving tests).
 //
 // MatchOne is the low-latency query path (candidate generation → cached
 // feature extraction → resident matcher, batch-scored through the flat

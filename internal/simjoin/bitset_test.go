@@ -113,7 +113,7 @@ func TestBitmapPostingsBuilt(t *testing.T) {
 	l := denseRandomRecords(60, 10, 30, rng)
 	il, _ := internRecords(l, l)
 	_, pr, nids := prepare(nil, il)
-	idx := buildIndex(pr, nids, func(n int) int { return n }, Options{BitmapPostingMin: 4})
+	idx := buildIndex(pr, nids, func(n int) int { return n }, options{BitmapPostingMin: 4})
 	if idx.bits == nil {
 		t.Fatal("BitmapPostingMin=4 on a hot vocabulary built no bitmap postings")
 	}
@@ -131,7 +131,7 @@ func TestBitmapPostingsBuilt(t *testing.T) {
 	}
 	// Dense records carry bitsets at the default threshold only when big
 	// enough; with DenseMinTokens=-1 nothing does.
-	idxOff := buildIndex(pr, nids, func(n int) int { return n }, Options{DenseMinTokens: -1})
+	idxOff := buildIndex(pr, nids, func(n int) int { return n }, options{DenseMinTokens: -1})
 	for _, d := range idxOff.dense {
 		if d != nil {
 			t.Fatal("DenseMinTokens=-1 still built record bitsets")

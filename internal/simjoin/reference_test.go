@@ -10,10 +10,9 @@ import (
 // This file preserves the pre-interning string-kernel join: per-record
 // token sorting by a map-backed frequency table, a map[string][]posting
 // index, a per-probe map[int]bool candidate set, and map-based set
-// intersection per verification. It exists as the baseline the integer
-// kernels are measured against (benchem -exp tokens) and as the oracle of
-// the equivalence tests: the live joins must reproduce its output bit for
-// bit. It is not wired into any production path.
+// intersection per verification. It is the oracle of the equivalence tests
+// (TestInternedJoinsMatchReference): the live joins must reproduce its
+// output bit for bit.
 
 // refPrepared is a record with canonicalized (deduped, globally ordered)
 // string tokens.
@@ -111,7 +110,7 @@ func ReferenceDiceJoin(l, r []Record, threshold float64, opts ...JoinOption) ([]
 }
 
 // refSetJoin is the retained string-kernel prefix-filter driver.
-func refSetJoin(l, r []Record, threshold float64, m measure, opts Options) ([]Pair, error) {
+func refSetJoin(l, r []Record, threshold float64, m measure, opts options) ([]Pair, error) {
 	if threshold <= 0 || threshold > 1 {
 		return nil, fmt.Errorf("simjoin: threshold %v out of (0, 1]", threshold)
 	}

@@ -19,8 +19,8 @@
 // per-call dictionary; callers that already hold interned IDs (the blockers
 // in package block) use the *JoinIDs variants and share one dictionary
 // across blocking, joining, and feature extraction. The retained map-based
-// string implementation lives in reference.go as the equivalence-test and
-// benchmark baseline.
+// string implementation lives in reference_test.go as the equivalence-test
+// oracle.
 package simjoin
 
 import (
@@ -65,20 +65,20 @@ type Pair struct {
 // WithDenseMinTokens, and WithBitmapPostingMin. Options apply in order, so
 // later options win. The same option surface serves the string-token APIs
 // (JaccardJoin et al.), the pre-interned *JoinIDs variants, the
-// edit-distance join, and the frozen reference joins.
-type JoinOption func(*Options)
+// edit-distance join, and the frozen reference joins of the tests.
+type JoinOption func(*options)
 
 // WithWorkers sets the number of goroutines probing the index; 0 (the
 // default) means GOMAXPROCS (parallel.Resolve).
 func WithWorkers(n int) JoinOption {
-	return func(o *Options) { o.Workers = n }
+	return func(o *options) { o.Workers = n }
 }
 
 // WithMetrics directs join timings and candidate/output counters
 // (obs.SimjoinSeconds/Candidates/Pairs, labeled by join name) into r; nil
 // (the default) means off.
 func WithMetrics(r obs.Recorder) JoinOption {
-	return func(o *Options) { o.Metrics = r }
+	return func(o *options) { o.Metrics = r }
 }
 
 // WithDenseMinTokens sets the token-set size at which a record additionally
@@ -86,7 +86,7 @@ func WithMetrics(r obs.Recorder) JoinOption {
 // from the sorted merge to the word-level AND/popcount kernels. 0 means the
 // default (64); negative disables bitset verification entirely.
 func WithDenseMinTokens(n int) JoinOption {
-	return func(o *Options) { o.DenseMinTokens = n }
+	return func(o *options) { o.DenseMinTokens = n }
 }
 
 // WithBitmapPostingMin sets the postings-list length at which a token's
@@ -94,65 +94,46 @@ func WithDenseMinTokens(n int) JoinOption {
 // bitmap over right-record positions. 0 means the default (512); negative
 // disables bitmap postings.
 func WithBitmapPostingMin(n int) JoinOption {
-	return func(o *Options) { o.BitmapPostingMin = n }
+	return func(o *options) { o.BitmapPostingMin = n }
 }
 
-// WithOptions replaces the whole resolved option set with a legacy Options
-// struct. It exists so pre-redesign call sites can migrate mechanically.
-//
-// Deprecated: pass WithWorkers, WithMetrics, WithDenseMinTokens, and
-// WithBitmapPostingMin directly.
-func WithOptions(o Options) JoinOption {
-	return func(dst *Options) { *dst = o }
-}
-
-// applyJoinOptions resolves a variadic option list into the Options carrier.
-func applyJoinOptions(opts []JoinOption) Options {
-	var o Options
+// applyJoinOptions resolves a variadic option list into the options carrier.
+func applyJoinOptions(opts []JoinOption) options {
+	var o options
 	for _, fn := range opts {
 		fn(&o)
 	}
 	return o
 }
 
-// Options is the resolved join configuration JoinOption values mutate.
-// Construct it through the With* options; the exported fields remain only
-// as the deprecated struct-literal surface WithOptions bridges.
-type Options struct {
+// options is the resolved join configuration JoinOption values mutate.
+type options struct {
 	// Workers is the number of goroutines probing the index; 0 means
 	// GOMAXPROCS (parallel.Resolve). The paper scales PyMatcher commands
 	// with Dask on multicore machines; this is the equivalent knob. Probe
 	// scans below probeMinWork records stay serial regardless (the
 	// parallel cost gate).
-	//
-	// Deprecated: set through WithWorkers.
 	Workers int
 	// Metrics receives join timings and candidate/output counters
 	// (obs.SimjoinSeconds/Candidates/Pairs, labeled by join name); nil
 	// means off.
-	//
-	// Deprecated: set through WithMetrics.
 	Metrics obs.Recorder
 	// DenseMinTokens is the token-set size at which a record additionally
 	// carries a compressed bitset (bitvec.Set), switching its
 	// verifications from the sorted merge to the word-level AND/popcount
 	// kernels. 0 means the default (64); negative disables bitset
 	// verification entirely.
-	//
-	// Deprecated: set through WithDenseMinTokens.
 	DenseMinTokens int
 	// BitmapPostingMin is the postings-list length at which a token's
 	// postings flip from an array of (record, position) entries to a
 	// compressed bitmap over right-record positions — the high-frequency
 	// tokens every dense record shares. 0 means the default (512);
 	// negative disables bitmap postings.
-	//
-	// Deprecated: set through WithBitmapPostingMin.
 	BitmapPostingMin int
 }
 
 // Join tuning defaults. The GUIDE.md tuning section documents when to
-// override them through Options.
+// override them through the With* options.
 const (
 	// defaultDenseMinTokens: below ~64 tokens the zero-alloc bounded merge
 	// wins; above it the container kernels start to pay, and the 8 KiB
@@ -171,7 +152,7 @@ const (
 	probeMinWork = 128
 )
 
-func (o Options) denseMinTokens() int {
+func (o options) denseMinTokens() int {
 	if o.DenseMinTokens == 0 {
 		return defaultDenseMinTokens
 	}
@@ -181,7 +162,7 @@ func (o Options) denseMinTokens() int {
 	return o.DenseMinTokens
 }
 
-func (o Options) bitmapPostingMin() int {
+func (o options) bitmapPostingMin() int {
 	if o.BitmapPostingMin == 0 {
 		return defaultBitmapPostingMin
 	}
@@ -419,10 +400,10 @@ type posting struct{ rec, pos int32 }
 // record order), and the per-candidate size check disappears.
 //
 // Each indexed token holds either an array postings list (posts[t]) or,
-// once the list passes Options.BitmapPostingMin, a compressed bitmap over
+// once the list passes options.BitmapPostingMin, a compressed bitmap over
 // record positions (bitmaps[t]) — high-frequency tokens stop costing 8
 // bytes per occurrence and intersect by whole 64-record words. Records at
-// or above Options.DenseMinTokens also carry their token set as a
+// or above options.DenseMinTokens also carry their token set as a
 // bitvec.Set (dense[j]) for the bitset verifier.
 type joinIndex struct {
 	pr    []intRec
@@ -435,7 +416,7 @@ type joinIndex struct {
 // buildIndex size-sorts the right collection and indexes each record's
 // prefix (per prefixFor) under its tokens. nids is the remapped ID-space
 // size from prepare.
-func buildIndex(pr []intRec, nids int, prefixFor func(n int) int, opts Options) *joinIndex {
+func buildIndex(pr []intRec, nids int, prefixFor func(n int) int, opts options) *joinIndex {
 	idx := &joinIndex{pr: pr}
 	sort.SliceStable(idx.pr, func(a, b int) bool { return len(idx.pr[a].toks) < len(idx.pr[b].toks) })
 	idx.sizes = make([]int, len(idx.pr))
@@ -492,7 +473,7 @@ func (idx *joinIndex) sizeWindow(lo, hi int) (jlo, jhi int) {
 // probeSets builds the probe-side dense bitsets (the left counterpart of
 // joinIndex.dense), nil when bitset verification is disabled or no record
 // qualifies.
-func probeSets(pl []intRec, opts Options) []*bitvec.Set {
+func probeSets(pl []intRec, opts options) []*bitvec.Set {
 	denseMin := opts.denseMinTokens()
 	var sets []*bitvec.Set
 	for i, rec := range pl {
@@ -567,7 +548,7 @@ func (e *epochScratch) mark(j int32) bool {
 }
 
 // setJoin is the shared prefix-filter join driver over interned records.
-func setJoin(l, r []IDRecord, threshold float64, m measure, opts Options) ([]Pair, error) {
+func setJoin(l, r []IDRecord, threshold float64, m measure, opts options) ([]Pair, error) {
 	if threshold <= 0 || threshold > 1 {
 		return nil, fmt.Errorf("simjoin: threshold %v out of (0, 1]", threshold)
 	}
